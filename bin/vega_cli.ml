@@ -110,9 +110,9 @@ let generate_cmd =
       & opt (some string) None
       & info [ "run-dir" ]
           ~doc:
-            "Generate the whole backend durably: write-ahead journal and \
-             checkpoints under $(docv). Refuses a directory holding a \
-             previous run's journal." ~docv:"DIR")
+            "Generate the whole backend durably under a write-ahead journal \
+             in $(docv). Refuses a directory holding a previous run's \
+             journal." ~docv:"DIR")
   in
   let resume_arg =
     Arg.(
@@ -763,9 +763,7 @@ let faultcheck_cmd =
     let rmf f = if Sys.file_exists f then Sys.remove f in
     let clear dir =
       rmf (Vega.Pipeline.journal_path dir);
-      rmf (Vega.Pipeline.journal_path dir ^ ".tmp");
-      rmf (Vega.Pipeline.checkpoint_path dir);
-      rmf (Vega.Pipeline.checkpoint_path dir ^ ".tmp")
+      rmf (Vega.Pipeline.journal_path dir ^ ".tmp")
     in
 
     (* --kill-at narrows the run to the kill-and-resume determinism
@@ -1277,7 +1275,6 @@ let faultcheck_cmd =
      let vnow = ref 0.0 in
      let scfg =
        {
-         S.Server.default_config with
          S.Server.domains = 1;
          queue_cap = List.length serve_fnames + 4;
          deadline_ms = 50;
@@ -1366,9 +1363,9 @@ let faultcheck_cmd =
              violation "%s: expiry submissions were rejected" name;
              S.Server.drain srv));
 
-    (* ---- durable serving: drain checkpoints, a kill mid-request loses
-       nothing durable, and a restarted server resumes to bit-identical
-       output ---- *)
+    (* ---- durable serving: drain leaves a sealed journal, a kill
+       mid-request loses nothing durable, and a restarted server resumes
+       to bit-identical output ---- *)
     (let name = "serve-drain-kill-resume" in
      scenario name;
      let dcfg =
@@ -1403,15 +1400,15 @@ let faultcheck_cmd =
          let records = (S.Server.health srv).S.Health.h_journal_records in
          let expect = render (S.Server.functions srv) in
          S.Server.drain srv;
-         check (name ^ ": drain leaves a loadable checkpoint")
-           (match
-              R.Checkpoint.load
-                ~path:(Vega.Pipeline.checkpoint_path ref_dir)
-            with
-           | Ok c ->
-               List.length c.R.Checkpoint.c_funcs
-               = List.length serve_fnames
-           | Error _ -> false);
+         check (name ^ ": drained journal seals exactly the served functions")
+           (let rc =
+              R.Journal.read ~path:(Vega.Pipeline.journal_path ref_dir) ()
+            in
+            let _, sealed = R.Journal.replay rc.R.Journal.r_records in
+            List.sort compare
+              (List.map (fun (c : R.Journal.completed) -> c.R.Journal.c_fname)
+                 sealed)
+            = List.sort compare serve_fnames);
          let kinj = R.Inject.create ~seed R.Inject.Request_kill in
          (* clamp past the midpoint so at least one function is durably
             complete when the crash lands *)
@@ -2992,8 +2989,8 @@ let serve_cmd =
       & opt (some string) None
       & info [ "run-dir" ] ~docv:"DIR"
           ~doc:
-            "Serve durably: write-ahead journal + checkpoints under $(docv); \
-             drain checkpoints in-flight work so a restart with \
+            "Serve durably under a write-ahead journal in $(docv); every \
+             completed request is sealed in it, so a restart with \
              $(b,--resume) loses nothing.")
   in
   let resume_flag =
@@ -3120,7 +3117,7 @@ let serve_cmd =
        ~doc:
          "Run the resilient serving daemon: bounded admission with explicit \
           load-shedding, per-request deadlines, per-client retry budgets, \
-          health snapshots, graceful checkpointing drain; with \
+          health snapshots, graceful drain; with \
           $(b,--evloop), a single-threaded poll event loop with framed \
           streaming and cancellation")
     Term.(
@@ -3157,8 +3154,8 @@ let request_cmd =
       value & flag
       & info [ "drain" ]
           ~doc:
-            "Gracefully drain the daemon: stop admitting, finish or \
-             checkpoint in-flight requests, exit.")
+            "Gracefully drain the daemon: stop admitting, finish the \
+             queued requests, exit.")
   in
   let ping_flag =
     Arg.(value & flag & info [ "ping" ] ~doc:"Liveness check only.")

@@ -281,10 +281,9 @@ let generate_function ?fallback ?report ?sup t ~target ~decoder ~fname =
     (bundle_for t.prep fname)
 
 (* ------------------------------------------------------------------ *)
-(* Crash-safe durable generation: write-ahead journal + checkpoints     *)
+(* Crash-safe durable generation: the write-ahead journal               *)
 
 module J = Vega_robust.Journal
-module Ckpt = Vega_robust.Checkpoint
 
 let fingerprint t ~target =
   (* ties a run directory to one prepared pipeline + target: same
@@ -307,13 +306,6 @@ type durable_outcome = {
 }
 
 let journal_path run_dir = Filename.concat run_dir "journal.log"
-let checkpoint_path run_dir = Filename.concat run_dir "checkpoint.ckpt"
-
-let rec mkdir_p dir =
-  if dir <> "" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
 
 let stmt_of_gen fname (s : Generate.gen_stmt) =
   {
@@ -338,13 +330,6 @@ let gen_of_stmt (s : J.stmt) =
     g_level = s.J.j_level;
   }
 
-let completed_of_gen fname (gf : Generate.gen_func) =
-  {
-    J.c_fname = fname;
-    c_confidence = gf.Generate.gf_confidence;
-    c_stmts = List.map (stmt_of_gen fname) gf.Generate.gf_stmts;
-  }
-
 let func_of_completed b target (c : J.completed) =
   {
     Generate.gf_fname = c.J.c_fname;
@@ -354,76 +339,53 @@ let func_of_completed b target (c : J.completed) =
     gf_stmts = List.map gen_of_stmt c.J.c_stmts;
   }
 
-(* Cross-check the snapshot against journal replay; the journal wins.
-   Any disagreement or corruption is recorded and the snapshot ignored. *)
-let check_snapshot report ~cpath ~fp completed =
-  let reject message =
-    Vega_robust.Report.record report ~stage:"checkpoint"
-      (Vega_robust.Fault.Stage_failure { stage = "checkpoint"; message })
-  in
-  match Ckpt.load ~path:cpath with
-  | Ok c when c.Ckpt.c_fingerprint <> fp ->
-      reject "snapshot fingerprint mismatch; using journal replay"
-  | Ok c ->
-      let in_journal (f : J.completed) =
-        List.exists (fun (g : J.completed) -> g = f) completed
-      in
-      if not (List.for_all in_journal c.Ckpt.c_funcs) then
-        reject "snapshot disagrees with journal replay; using journal replay"
-  | Error e ->
-      if Sys.file_exists cpath then
-        reject (Printf.sprintf "corrupt snapshot (%s); using journal replay" e)
+type journal = {
+  writer : J.writer;
+  restored : Generate.gen_func list;
+  torn : bool;
+  unsubscribe : unit -> unit;
+}
 
-let generate_backend_durable ?fallback ?report ?sup ?(resume = false) ?kill_at
-    ?(checkpoint_every = 4) ?(domains = 1) ~run_dir t ~target ~decoder =
-  let report =
-    match report with Some r -> r | None -> Vega_robust.Report.create ()
-  in
-  mkdir_p run_dir;
-  let jpath = journal_path run_dir and cpath = checkpoint_path run_dir in
+let open_journal ?kill_at ~report ~resume ~run_dir t ~target =
+  Vega_util.Fs.mkdir_p run_dir;
+  let path = journal_path run_dir in
   let fp = fingerprint t ~target in
-  let setup =
+  let opened =
     if resume then begin
-      let rc = J.read ~report ~path:jpath () in
+      let rc = J.read ~report ~path () in
       match J.replay rc.J.r_records with
       | Some (J.Header h), completed
         when h.version = J.version && h.target = target && h.fingerprint = fp
         ->
           (* compact the torn tail away so fresh appends extend the
              recovered prefix, not a half-written record *)
-          if rc.J.r_torn then J.rewrite ~path:jpath rc.J.r_records;
-          check_snapshot report ~cpath ~fp completed;
-          Ok (J.open_append ?kill_at ~path:jpath (), completed, rc.J.r_torn)
+          if rc.J.r_torn then J.rewrite ~path rc.J.r_records;
+          Ok (J.open_append ?kill_at ~path (), completed, rc.J.r_torn)
       | Some (J.Header _), _ ->
           Error
             "journal belongs to a different run (target or pipeline \
              fingerprint mismatch)"
       | _ -> Error "journal has no valid header; nothing to resume"
     end
-    else if Sys.file_exists jpath then
+    else if Sys.file_exists path then
       Error
         (Printf.sprintf "%s already exists; resume the run instead of starting \
                          a new one"
-           jpath)
+           path)
     else
       Ok
-        ( J.create ?kill_at ~path:jpath
+        ( J.create ?kill_at ~path
             (J.Header { version = J.version; target; fingerprint = fp }),
           [],
           false )
   in
-  match setup with
-  | Error _ as e -> e
-  | Ok (w, completed, torn) ->
-      let done_tbl = Hashtbl.create 64 in
-      List.iter
-        (fun (c : J.completed) -> Hashtbl.replace done_tbl c.J.c_fname c)
-        completed;
+  Result.map
+    (fun (writer, completed, torn) ->
       (* faults are journaled ahead like statements *)
-      let cancel =
+      let unsubscribe =
         Vega_robust.Report.subscribe report
           (fun (ev : Vega_robust.Report.event) ->
-            J.append w
+            J.append writer
               (J.Fault_ev
                  {
                    stage = ev.Vega_robust.Report.ev_stage;
@@ -431,50 +393,71 @@ let generate_backend_durable ?fallback ?report ?sup ?(resume = false) ?kill_at
                    backtrace = ev.Vega_robust.Report.ev_backtrace;
                  }))
       in
-      let resumed = ref 0 and generated = ref 0 in
-      let finished = ref (List.rev completed) in
-      (* guards the progress counters, the finished list and checkpoint
-         writes when generation fans out over domains; journal appends
+      (* the fingerprint pins the function set, so every sealed
+         function has its bundle *)
+      let restored =
+        List.filter_map
+          (fun (c : J.completed) ->
+            Option.map
+              (fun b -> func_of_completed b target c)
+              (bundle_for t.prep c.J.c_fname))
+          completed
+      in
+      { writer; restored; torn; unsubscribe })
+    opened
+
+let close_journal j =
+  j.unsubscribe ();
+  J.close j.writer
+
+let begin_func w fname =
+  J.append w (J.Func_begin fname);
+  fun s -> J.append w (J.Stmt (stmt_of_gen fname s))
+
+let seal_func w fname (gf : Generate.gen_func) =
+  J.append w
+    (J.Func_end
+       {
+         fname;
+         confidence = gf.Generate.gf_confidence;
+         n_stmts = List.length gf.Generate.gf_stmts;
+       })
+
+let generate_backend_durable ?fallback ?report ?sup ?(resume = false) ?kill_at
+    ?(domains = 1) ~run_dir t ~target ~decoder =
+  let report =
+    match report with Some r -> r | None -> Vega_robust.Report.create ()
+  in
+  match open_journal ?kill_at ~report ~resume ~run_dir t ~target with
+  | Error _ as e -> e
+  | Ok j ->
+      let done_tbl = Hashtbl.create 64 in
+      List.iter
+        (fun (gf : Generate.gen_func) ->
+          Hashtbl.replace done_tbl gf.Generate.gf_fname gf)
+        j.restored;
+      (* atomics: generation may fan out over domains; journal appends
          carry their own lock *)
-      let progress = Mutex.create () in
+      let resumed = Atomic.make 0 and generated = Atomic.make 0 in
       let gen_bundle sup b =
         let fname = b.spec.Vega_corpus.Spec.fname in
         match Hashtbl.find_opt done_tbl fname with
-        | Some c ->
-            Mutex.protect progress (fun () -> incr resumed);
-            func_of_completed b target c
+        | Some gf ->
+            Atomic.incr resumed;
+            gf
         | None ->
-            J.append w (J.Func_begin fname);
+            let on_stmt = begin_func j.writer fname in
             let gf =
-              Generate.run ?fallback ~report ?sup
-                ~on_stmt:(fun s -> J.append w (J.Stmt (stmt_of_gen fname s)))
-                t.prep.ctx b.tpl b.analysis b.hints ~target ~decoder
+              Generate.run ?fallback ~report ?sup ~on_stmt t.prep.ctx b.tpl
+                b.analysis b.hints ~target ~decoder
             in
-            J.append w
-              (J.Func_end
-                 {
-                   fname;
-                   confidence = gf.Generate.gf_confidence;
-                   n_stmts = List.length gf.Generate.gf_stmts;
-                 });
-            Mutex.protect progress (fun () ->
-                incr generated;
-                finished := completed_of_gen fname gf :: !finished;
-                if !generated mod checkpoint_every = 0 then
-                  Ckpt.save ~path:cpath
-                    {
-                      Ckpt.c_version = Ckpt.version;
-                      c_target = target;
-                      c_fingerprint = fp;
-                      c_funcs = List.rev !finished;
-                    });
+            seal_func j.writer fname gf;
+            Atomic.incr generated;
             gf
       in
       let funcs =
         Fun.protect
-          ~finally:(fun () ->
-            cancel ();
-            J.close w)
+          ~finally:(fun () -> close_journal j)
           (fun () ->
             if domains <= 1 then List.map (gen_bundle sup) t.prep.bundles
             else
@@ -485,8 +468,8 @@ let generate_backend_durable ?fallback ?report ?sup ?(resume = false) ?kill_at
       Ok
         {
           d_funcs = funcs;
-          d_resumed = !resumed;
-          d_generated = !generated;
-          d_records = J.written w;
-          d_torn = torn;
+          d_resumed = Atomic.get resumed;
+          d_generated = Atomic.get generated;
+          d_records = J.written j.writer;
+          d_torn = j.torn;
         }

@@ -107,10 +107,10 @@ val generate_function :
 (** {1 Crash-safe durable generation}
 
     A durable run write-ahead-journals every statement before acting on
-    it and snapshots completed functions periodically; after a crash it
-    resumes from the journal and produces output bit-identical to an
-    uninterrupted run. Journal replay — not the snapshot — is the source
-    of truth. *)
+    it; after a crash it resumes from the journal and produces output
+    bit-identical to an uninterrupted run. Journal replay is the only
+    record of progress: a function counts as done exactly when its
+    statement trail is sealed by a matching [Func_end]. *)
 
 val fingerprint : t -> target:string -> string
 (** Checksum over the target name and the prepared function set; stored
@@ -126,18 +126,47 @@ type durable_outcome = {
 }
 
 val journal_path : string -> string
-val checkpoint_path : string -> string
-(** Layout of a run directory. *)
+(** Where a run directory keeps its journal. *)
 
-val stmt_of_gen : string -> Generate.gen_stmt -> Vega_robust.Journal.stmt
-val completed_of_gen :
-  string -> Generate.gen_func -> Vega_robust.Journal.completed
-val func_of_completed :
-  bundle -> string -> Vega_robust.Journal.completed -> Generate.gen_func
-(** Conversions between generation results and their journal records,
-    shared with the serving layer ([vega.serve]), which journals
-    per-request instead of per-backend but must replay to the same
-    bit-identical functions. *)
+type journal = {
+  writer : Vega_robust.Journal.writer;
+  restored : Generate.gen_func list;
+      (** functions sealed in the journal, in completion order *)
+  torn : bool;  (** a torn trailing record was recovered *)
+  unsubscribe : unit -> unit;  (** stop journaling report faults *)
+}
+(** An open run-directory journal. *)
+
+val open_journal :
+  ?kill_at:int ->
+  report:Vega_robust.Report.t ->
+  resume:bool ->
+  run_dir:string ->
+  t -> target:string ->
+  (journal, string) result
+(** Open the journal of [run_dir] (created if missing) for one durable
+    run — the only entry point, shared with the serving layer
+    ([vega.serve]), which journals per request instead of per backend.
+    A fresh run refuses an existing journal and starts one holding only
+    the header. [resume:true] reads and replays the journal, refuses a
+    header for another target or pipeline {!fingerprint}, compacts a
+    torn tail away and reopens it for appending. Either way every fault
+    later recorded in [report] is journaled ahead like a statement,
+    until {!close_journal}. [kill_at] is passed to the writer
+    ({!Vega_robust.Journal.Killed}). [Error] explains why the run
+    directory cannot be used. *)
+
+val close_journal : journal -> unit
+(** Stop journaling faults and close the writer. *)
+
+val begin_func :
+  Vega_robust.Journal.writer -> string -> Generate.gen_stmt -> unit
+(** [begin_func w fname] journals the start of [fname]'s generation and
+    returns the per-statement hook ([Generate]'s [on_stmt]) that
+    journals each of its statements. *)
+
+val seal_func : Vega_robust.Journal.writer -> string -> Generate.gen_func -> unit
+(** Journal the seal that marks the function complete on replay. *)
 
 val generate_backend_durable :
   ?fallback:Generate.decoder ->
@@ -145,25 +174,21 @@ val generate_backend_durable :
   ?sup:Vega_robust.Supervisor.t ->
   ?resume:bool ->
   ?kill_at:int ->
-  ?checkpoint_every:int ->
   ?domains:int ->
   run_dir:string ->
   t -> target:string -> decoder:Generate.decoder ->
   (durable_outcome, string) result
 (** Whole-backend generation under the write-ahead journal in
-    [run_dir]. Fresh runs refuse an existing journal; [resume:true]
-    replays it (recovering a torn tail and compacting it away, and
-    cross-checking the checkpoint snapshot against replay — a corrupt or
-    disagreeing snapshot is recorded as a fault and ignored), restores
-    completed functions, and regenerates only the rest. Functions whose
-    statement trail was cut mid-write regenerate from scratch, so the
-    final output is bit-identical to an uninterrupted run.
+    [run_dir] ({!open_journal}). [resume:true] restores completed
+    functions and regenerates only the rest. Functions whose statement
+    trail was cut mid-write regenerate from scratch, so the final
+    output is bit-identical to an uninterrupted run.
 
     [kill_at] arms the simulated hard crash ({!Vega_robust.Journal.Killed}
     escapes after that many durable records — the [faultcheck] harness).
-    [Error] explains why the run directory cannot be used; faults during
-    generation never produce [Error] — they degrade statements through
-    the ladder as usual and are journaled ahead like everything else.
+    Faults during generation never produce [Error] — they degrade
+    statements through the ladder as usual and are journaled ahead like
+    everything else.
 
     [domains] parallelizes generation like {!generate_backend}: journal
     appends are mutex-guarded and replay keys statements by function

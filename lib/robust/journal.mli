@@ -7,9 +7,9 @@
     truncated log instead of failing, and resume compacts the file back
     to that prefix via an atomic tmp-file+rename.
 
-    Journal replay — not the {!Checkpoint} snapshot — is the source of
-    truth on resume: a function counts as completed only when all its
-    statement records are followed by a matching [Func_end]. *)
+    Journal replay is the only record of a run's progress: a function
+    counts as completed only when all its statement records are followed
+    by a matching [Func_end]. *)
 
 type stmt = {
   j_fname : string;

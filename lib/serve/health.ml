@@ -3,7 +3,7 @@
    A snapshot is a plain record so in-process callers can assert on it,
    plus a wire encoding so the socket's `health` command ships the same
    fields. Readiness is the admission gate: only [Ready] admits; a
-   [Draining] server finishes (or checkpoints) what it has and a
+   [Draining] server finishes what it has and a
    [Stopped] one has joined its workers. *)
 
 module Wire = Vega_robust.Wire

@@ -63,14 +63,8 @@ let desc_hash_of_vfs vfs ~target =
     (String.concat "\x00"
        (List.concat_map (fun (path, contents) -> [ path; contents ]) files))
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let create ?report ~dir ~fingerprint ~desc_hash () =
-  mkdir_p dir;
+  Vega_util.Fs.mkdir_p dir;
   {
     dir;
     fingerprint;

@@ -1,7 +1,7 @@
 (* Tests for the crash-safe durability layer: the checksummed wire
    format, the write-ahead journal (append, torn-tail recovery, replay),
-   checkpoint snapshots, the supervisor (deadline, backoff, circuit
-   breaker), and kill/resume determinism over the real pipeline. *)
+   the supervisor (deadline, backoff, circuit breaker), and kill/resume
+   determinism over the real pipeline. *)
 
 module V = Vega
 module R = Vega_robust
@@ -283,62 +283,6 @@ let test_journal_replay () =
     (List.map (fun s -> s.J.j_line) f.J.c_stmts);
   Alcotest.(check (list int)) "restart resets the trail" [ 9 ]
     (List.map (fun s -> s.J.j_line) i.J.c_stmts)
-
-(* ---------------- checkpoint ---------------- *)
-
-let sample_ckpt =
-  {
-    R.Checkpoint.c_version = R.Checkpoint.version;
-    c_target = "RISCV";
-    c_fingerprint = "deadbeef";
-    c_funcs =
-      [
-        {
-          J.c_fname = "getRelocType";
-          c_confidence = 1.0;
-          c_stmts = [ sample_stmt; { sample_stmt with J.j_line = 8 } ];
-        };
-        { J.c_fname = "empty"; c_confidence = 0.0; c_stmts = [] };
-      ];
-  }
-
-let test_checkpoint_roundtrip () =
-  let dir = fresh_dir "ckpt" in
-  let path = Filename.concat dir "checkpoint.ckpt" in
-  R.Checkpoint.save ~path sample_ckpt;
-  (match R.Checkpoint.load ~path with
-  | Ok c -> Alcotest.(check bool) "snapshot round-trips" true (c = sample_ckpt)
-  | Error e -> Alcotest.failf "load failed: %s" e);
-  (* corrupt one byte anywhere: load must reject, not crash *)
-  let ic = open_in_bin path in
-  let contents = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let flip i =
-    let b = Bytes.of_string contents in
-    Bytes.set b i (if Bytes.get b i = 'x' then 'y' else 'x');
-    let oc = open_out_bin path in
-    output_bytes oc b;
-    close_out oc
-  in
-  List.iter
-    (fun i ->
-      flip (i * String.length contents / 7);
-      match R.Checkpoint.load ~path with
-      | Error _ -> ()
-      | Ok c ->
-          Alcotest.(check bool) "mutation either harmless or rejected" true
-            (c = sample_ckpt))
-    [ 0; 1; 2; 3; 4; 5 ];
-  (* truncated file: reject *)
-  let oc = open_out_bin path in
-  output_string oc (String.sub contents 0 (String.length contents / 2));
-  close_out oc;
-  (match R.Checkpoint.load ~path with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "truncated snapshot accepted");
-  match R.Checkpoint.load ~path:(Filename.concat dir "none.ckpt") with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing snapshot accepted"
 
 (* ---------------- supervisor ---------------- *)
 
@@ -712,7 +656,6 @@ let suite =
     Alcotest.test_case "worker jitter domains 1/2/4" `Quick
       test_worker_jitter_domains;
     Alcotest.test_case "journal replay" `Quick test_journal_replay;
-    Alcotest.test_case "checkpoint round-trip" `Quick test_checkpoint_roundtrip;
     Alcotest.test_case "backoff determinism" `Quick test_backoff_determinism;
     Alcotest.test_case "breaker transitions" `Quick test_breaker_transitions;
     Alcotest.test_case "retry with backoff" `Quick test_retry_backoff;

@@ -444,9 +444,14 @@ let test_drain_resume_bit_identity () =
   | Ok srv ->
       List.iter (fun f -> expect_done (S.Server.request srv (mk f))) names;
       S.Server.drain srv;
-      Alcotest.(check bool) "drain leaves a checkpoint" true
-        (Result.is_ok
-           (R.Checkpoint.load ~path:(V.Pipeline.checkpoint_path dir))));
+      let rc = R.Journal.read ~path:(V.Pipeline.journal_path dir) () in
+      let _, sealed = R.Journal.replay rc.R.Journal.r_records in
+      Alcotest.(check (list string))
+        "drained journal seals exactly the served functions"
+        (List.sort compare names)
+        (List.sort compare
+           (List.map (fun (c : R.Journal.completed) -> c.R.Journal.c_fname)
+              sealed)));
   (* a fresh (non-resume) server must refuse the populated run dir *)
   (match S.Server.create ~config:tcfg ~run_dir:dir t ~target ~decoder with
   | Error _ -> ()
@@ -463,6 +468,44 @@ let test_drain_resume_bit_identity () =
           Alcotest.(check bool) "flagged resumed" true d.r_resumed
       | r -> Alcotest.failf "resumed request failed: %s" (S.Proto.encode_reply r));
       Alcotest.(check string) "bit-identical across drain + restart" expect
+        (Test_durable.render (S.Server.functions srv));
+      S.Server.drain srv
+
+(* One journal protocol: a run killed under [generate_backend_durable]
+   resumes in a server, and every function it serves is bit-identical
+   to an uninterrupted [generate_backend]. *)
+let test_cross_resume () =
+  let t = Lazy.force pipeline in
+  let decoder = V.Pipeline.retrieval_decoder t in
+  let plain = V.Pipeline.generate_backend t ~target ~decoder in
+  (* a full run appends Func_begin + statements + Func_end per function;
+     the crash lands halfway *)
+  let k =
+    List.fold_left
+      (fun n (gf : V.Generate.gen_func) ->
+        n + List.length gf.V.Generate.gf_stmts + 2)
+      0 plain
+    / 2
+  in
+  let dir = fresh_dir "cross" in
+  (match
+     V.Pipeline.generate_backend_durable ~kill_at:k ~run_dir:dir t ~target
+       ~decoder
+   with
+  | exception R.Journal.Killed n -> Alcotest.(check int) "killed mid-run" k n
+  | Ok _ -> Alcotest.fail "expected the simulated crash"
+  | Error e -> Alcotest.failf "killed run setup failed: %s" e);
+  match
+    S.Server.create ~config:tcfg ~run_dir:dir ~resume:true t ~target ~decoder
+  with
+  | Error e -> Alcotest.failf "server resume failed: %s" e
+  | Ok srv ->
+      let restored = S.Server.resumed_functions srv in
+      Alcotest.(check bool) "some but not all functions restored" true
+        (restored > 0 && restored < List.length plain);
+      List.iter (fun f -> expect_done (S.Server.request srv (mk f))) (fnames t);
+      Alcotest.(check string) "served functions match the unkilled run"
+        (Test_durable.render plain)
         (Test_durable.render (S.Server.functions srv));
       S.Server.drain srv
 
@@ -624,6 +667,8 @@ let suite =
     Alcotest.test_case "drain stops admission" `Quick test_drain_stops_admission;
     Alcotest.test_case "drain/resume bit-identity" `Quick
       test_drain_resume_bit_identity;
+    Alcotest.test_case "pipeline journal resumes in a server" `Quick
+      test_cross_resume;
     Alcotest.test_case "socket parity" `Quick test_sock_parity;
     Alcotest.test_case "socket bad lines" `Quick test_sock_bad_lines;
     Alcotest.test_case "socket partial writes" `Quick test_sock_partial_writes;

@@ -444,6 +444,42 @@ let test_cancel_then_resume_bit_identity () =
   Alcotest.(check string) "resume-after-cancel bit-identical" expect got;
   S.Server.drain srv
 
+(* The worker queue and the stream driver run one generation path:
+   the same function list through [request] on one durable server and
+   through [stream_run] on another gives equal replies and
+   byte-identical journals. *)
+let test_worker_stream_agree () =
+  let names = fnames (Lazy.force pipeline) in
+  let serve via =
+    let dir = fresh_dir via in
+    let srv = mk_server ~run_dir:dir () in
+    let replies =
+      List.map
+        (fun f ->
+          let reply =
+            if via = "worker" then S.Server.request srv (mk f)
+            else
+              S.Server.stream_run srv (mk f)
+                ~emit:(fun _ -> S.Proto.Wrote)
+                ~cancelled:(fun () -> false)
+          in
+          (match reply with
+          | S.Proto.Done _ -> ()
+          | r -> Alcotest.failf "%s path failed: %s" via (S.Proto.encode_reply r));
+          S.Proto.encode_reply reply)
+        names
+    in
+    S.Server.drain srv;
+    let ic = open_in_bin (V.Pipeline.journal_path dir) in
+    let journal = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    (replies, journal)
+  in
+  let w_replies, w_journal = serve "worker" in
+  let s_replies, s_journal = serve "stream" in
+  Alcotest.(check (list string)) "equal Done replies" w_replies s_replies;
+  Alcotest.(check bool) "byte-identical journals" true (w_journal = s_journal)
+
 (* ---------------- backpressure and deadlines ---------------- *)
 
 (* A reader that stops draining is shed with a typed [Slow_reader]
@@ -758,6 +794,8 @@ let suite =
       test_cancel_boundaries;
     Alcotest.test_case "resume after cancel is bit-identical" `Quick
       test_cancel_then_resume_bit_identity;
+    Alcotest.test_case "worker and stream paths agree" `Quick
+      test_worker_stream_agree;
     Alcotest.test_case "slow reader shed with typed rejection" `Quick
       test_slow_reader_shed;
     Alcotest.test_case "idle and slow-loris shed on the tick clock" `Quick
